@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
+import pytest
 
 from repro.mac.dcf import DcfMac
 from repro.mac.timing import MacTiming
@@ -195,3 +196,30 @@ def test_backoff_defers_while_medium_busy():
     tx_by_0 = [r for r in records if r.fields["sender"] == 0]
     assert tx_by_1[0].time > tx_by_0[0].time + 0.005  # after the ~6 ms frame
     assert [p.uid for p in uppers[0].delivered] == [2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: Radio.end_transmit calls on_medium_change before "
+        "on_tx_complete, so the defer timer is re-armed from the stale backoff "
+        "before _awaiting is set and a second RTS leaves while the CTS is awaited"
+    ),
+)
+def test_no_rts_while_awaiting_cts():
+    """An RTS is answered by a CTS or by the CTS timeout: the sender must
+    not put another RTS on the air while it still awaits the first CTS."""
+    tracer = Tracer()
+    sim, macs, uppers, _ = build_macs([(0.0, 0.0), (2000.0, 0.0)], seed=2, tracer=tracer)
+    awaiting_at_rts = []
+
+    def on_tx(record):
+        if record.fields["node"] == 0 and record.fields["frame_kind"] == "rts":
+            awaiting_at_rts.append(macs[0]._awaiting)
+
+    tracer.subscribe("mac.tx", on_tx)
+    macs[0].enqueue(_packet(0, 1), 1)  # node 1 is out of range: no CTS ever
+    sim.run(until=1.0)
+    assert len(uppers[0].failures) == 1
+    assert len(awaiting_at_rts) > 1
+    assert "cts" not in awaiting_at_rts
