@@ -22,12 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.routes import (
-    contains_link,
-    is_valid_route,
-    route_links,
-    truncate_at_link,
-)
+from repro.core.routes import contains_link, is_valid_route, route_links
 
 Link = Tuple[int, int]
 
@@ -70,16 +65,17 @@ class PathCache:
         than raising: snooped packets routinely yield degenerate routes and
         the protocol simply ignores them.
         """
-        if not is_valid_route(route) or route[0] != self.owner:
-            return False
         key = tuple(route)
         if key in self._paths:
-            # Keep the original entry time: "lifetime" in the adaptive
-            # timeout is time since the route *entered* the cache, and
-            # refreshing it on every forwarded packet would collapse
+            # Stored keys are valid routes from the owner, so a re-add needs
+            # no validation.  Keep the original entry time: "lifetime" in the
+            # adaptive timeout is time since the route *entered* the cache,
+            # and refreshing it on every forwarded packet would collapse
             # lifetimes to inter-packet gaps.  (Usage recency is tracked
             # separately via note_links_used.)
             self._paths.move_to_end(key)
+            return False
+        if not is_valid_route(key) or key[0] != self.owner:
             return False
         if len(self._paths) >= self.capacity:
             self._paths.popitem(last=False)  # evict oldest-inserted
@@ -154,14 +150,19 @@ class PathCache:
         lifetimes: List[float] = []
         replacements: List[CachedPath] = []
         doomed: List[Tuple[int, ...]] = []
+        a, b = link
         for key, cached in self._paths.items():
-            if not contains_link(cached.route, link):
+            # Stored routes are loop-free: ``a`` occurs at most once, so the
+            # link is there iff ``b`` follows that one occurrence.
+            if a not in key:
+                continue
+            index = key.index(a)
+            if index + 1 == len(key) or key[index + 1] != b:
                 continue
             lifetimes.append(max(0.0, now - cached.added))
             doomed.append(key)
-            prefix = truncate_at_link(cached.route, link)
-            if prefix is not None and len(prefix) >= 2:
-                replacements.append(CachedPath(tuple(prefix), cached.added))
+            if index >= 1:  # the prefix up to ``a`` is still a route
+                replacements.append(CachedPath(key[: index + 1], cached.added))
         for key in doomed:
             del self._paths[key]
         for replacement in replacements:

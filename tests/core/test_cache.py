@@ -127,3 +127,30 @@ def test_clear():
     cache.add([0, 1], now=0.0)
     cache.clear()
     assert len(cache) == 0
+
+
+def test_readd_keeps_entry_time_and_moves_path_to_lru_end():
+    """A re-add of a stored path takes the fast path: no new entry, the
+    original entry time, and the path becomes the newest for eviction."""
+    cache = PathCache(owner=0, capacity=2)
+    cache.add((0, 1, 2), now=1.0)
+    cache.add([0, 3], now=2.0)
+    assert not cache.add([0, 1, 2], now=9.0)  # a list re-adds the tuple key
+    assert [(p.route, p.added) for p in cache.paths()] == [((0, 3), 2.0), ((0, 1, 2), 1.0)]
+    cache.add([0, 4], now=10.0)  # evicts the least recently added: (0, 3)
+    assert [p.route for p in cache.paths()] == [(0, 1, 2), (0, 4)]
+
+
+def test_remove_link_cuts_only_paths_with_the_directed_link():
+    cache = PathCache(owner=0)
+    cache.add([0, 1, 2, 3], now=1.0)  # holds 1->2: truncated to (0, 1)
+    cache.add([0, 5, 2, 1], now=2.0)  # holds 2->1 only: untouched
+    cache.add([0, 1], now=3.0)  # ends at 1: untouched
+    cache.add([0, 6, 1, 2], now=4.0)  # holds 1->2 at the end: cut to (0, 6, 1)
+    lifetimes = cache.remove_link((1, 2), now=10.0)
+    assert lifetimes == [9.0, 6.0]
+    assert {p.route: p.added for p in cache.paths()} == {
+        (0, 5, 2, 1): 2.0,
+        (0, 1): 3.0,  # the truncated (0, 1) prefix is already stored
+        (0, 6, 1): 4.0,
+    }
