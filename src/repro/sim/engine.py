@@ -16,6 +16,23 @@ re-heapifies — whenever the cancelled fraction crosses a threshold.  Compactio
 only removes events that would have been skipped anyway and preserves the
 ``(time, seq)`` order of the survivors, so the executed-event sequence (and
 with it, determinism) is unchanged.
+
+Restartable timers avoid the heap on most restarts.  An event carries its
+current key, and its heap entry may lag behind it:
+
+* :meth:`Simulator.disarm` stops an event without cancelling it: its key is
+  cleared, and its entry is dropped if it reaches the top still disarmed;
+* :meth:`Simulator.rekey` gives a pending or disarmed event that is still in
+  the heap a new key no earlier than its entry's, without a push; the entry
+  is re-filed under the new key when it reaches the top.
+
+A key that a caller wants to use later can be taken now with
+:meth:`reserve_seq` and pushed with :meth:`schedule_reserved`.  Either way an
+event fires at exactly the ``(time, seq)`` an eager cancel-and-
+:meth:`schedule_at` would have given it, so the executed sequence is
+unchanged.  :meth:`Simulator.run` counts callbacks run; dropping or
+re-filing a stale entry and skipping a cancelled event run no callback and
+are not counted.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ class Event:
     deterministic.  Use :meth:`cancel` to prevent a pending event from firing.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "owner")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "owner", "queued")
 
     def __init__(
         self,
@@ -46,11 +63,14 @@ class Event:
         owner: "Optional[Simulator]" = None,
     ) -> None:
         self.time = time
-        self.seq = seq
+        # The key the event fires at; None while disarmed (see disarm()).
+        self.seq: Optional[int] = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.owner = owner
+        # True while a heap entry refers to this event (see Simulator.rekey).
+        self.queued = False
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when popped."""
@@ -89,8 +109,9 @@ class SimulatorStats:
     executed: int  # events whose callback ran
     cancelled: int  # cancel() calls on not-yet-cancelled events
     skipped: int  # cancelled events discarded at pop time
+    stale: int  # entries of disarmed or re-keyed events dropped or re-filed
     compactions: int  # heap rebuilds that purged cancelled events
-    pending: int  # events currently in the heap (live + cancelled)
+    pending: int  # heap entries (live, cancelled and stale)
     pending_cancelled: int  # cancelled events currently in the heap
     #: Per-callback wall-clock attribution, sorted by wall time descending;
     #: None unless :meth:`Simulator.enable_profiling` was called.
@@ -146,6 +167,7 @@ class Simulator:
         self._executed_total = 0
         self._cancelled_total = 0
         self._skipped_total = 0
+        self._stale_total = 0
         self._compactions = 0
         # Opt-in wall-clock profiling: None means off, and the run loop
         # chooses a branch *once per run() call*, so the off path executes
@@ -164,6 +186,7 @@ class Simulator:
             executed=self._executed_total,
             cancelled=self._cancelled_total,
             skipped=self._skipped_total,
+            stale=self._stale_total,
             compactions=self._compactions,
             pending=len(self._heap),
             pending_cancelled=self._cancelled_in_heap,
@@ -227,8 +250,70 @@ class Simulator:
         event.args = args
         event.cancelled = False
         event.owner = self
+        event.queued = True
         heapq.heappush(self._heap, (time, seq, event))
         return event
+
+    def reserve_seq(self) -> int:
+        """Take the next tie-break number without scheduling anything.
+
+        An event later pushed with it (:meth:`schedule_reserved`, or moved
+        to it with :meth:`rekey`) fires exactly where one scheduled now
+        with :meth:`schedule_at` would have.
+        """
+        seq = self._seq + 1
+        self._seq = seq
+        return seq
+
+    def schedule_reserved(
+        self, time: float, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Schedule ``fn(*args)`` at the key ``(time, seq)``, where ``seq``
+        came from :meth:`reserve_seq`.
+
+        The key must still lie ahead of the event being executed: ``time``
+        later than now, or equal to now with ``seq`` reserved after the
+        current event was scheduled.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, now={self.now})"
+            )
+        if seq > self._seq:
+            raise SimulationError(f"tie-break number {seq} was never reserved")
+        event = Event(time, seq, fn, args, self)
+        event.queued = True
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
+
+    def rekey(self, event: Event, time: float, seq: Optional[int] = None) -> bool:
+        """Give a pending or disarmed ``event`` the key ``(time, seq)``
+        without a heap push.
+
+        ``seq`` is a number from :meth:`reserve_seq` taken after the event's
+        current key was given; by default the next one is taken now, as
+        :meth:`schedule_at` would.  The move is possible only while the
+        event is still in the heap and ``time`` is no earlier than its
+        current key's.  Returns False, without taking a number or changing
+        anything, when it is not possible.
+        """
+        if not event.queued or event.cancelled or time < event.time:
+            return False
+        if seq is None:
+            seq = self._seq + 1
+            self._seq = seq
+        event.time = time
+        event.seq = seq
+        return True
+
+    def disarm(self, event: Event) -> None:
+        """Stop ``event`` from firing but keep it for a later :meth:`rekey`.
+
+        Unlike :meth:`cancel` this is not a cancellation: the event's heap
+        entry goes stale and is dropped, uncounted by ``skipped``, if it
+        reaches the top before a rekey arms the event again.
+        """
+        event.seq = None
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already fired)."""
@@ -259,8 +344,14 @@ class Simulator:
         ``(time, seq)`` identity, and only events that would have been
         skipped at pop time are removed — the executed sequence is untouched.
         """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        kept = []
+        for entry in self._heap:
+            if entry[2].cancelled:
+                entry[2].queued = False
+            else:
+                kept.append(entry)
+        heapq.heapify(kept)
+        self._heap = kept
         self._cancelled_in_heap = 0
         self._compactions += 1
 
@@ -286,7 +377,9 @@ class Simulator:
         Returns
         -------
         int
-            The number of (non-cancelled) events executed.
+            The number of event callbacks run.  Skipping a cancelled event
+            and dropping or re-filing a stale entry (see :meth:`rekey`) run
+            no callback and count neither here nor towards ``max_events``.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -294,6 +387,7 @@ class Simulator:
         self._stopped = False
         executed = 0
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         profile = self._profile
         # The loop is duplicated rather than branched per event: profiling
         # must be *zero*-cost when off, so the unprofiled path keeps exactly
@@ -306,12 +400,24 @@ class Simulator:
                     event = entry[2]
                     if event.cancelled:
                         heappop(self._heap)
+                        event.queued = False
                         self._skipped_total += 1
                         self._cancelled_in_heap -= 1
+                        continue
+                    if entry[1] != event.seq:
+                        # Stale entry: drop it if the event is disarmed,
+                        # else re-file it under the event's new key.
+                        self._stale_total += 1
+                        if event.seq is None:
+                            heappop(self._heap)
+                            event.queued = False
+                        else:
+                            heapreplace(self._heap, (event.time, event.seq, event))
                         continue
                     if until is not None and entry[0] > until:
                         break
                     heappop(self._heap)
+                    event.queued = False
                     self.now = entry[0]
                     event.fn(*event.args)
                     executed += 1
@@ -326,12 +432,24 @@ class Simulator:
                     event = entry[2]
                     if event.cancelled:
                         heappop(self._heap)
+                        event.queued = False
                         self._skipped_total += 1
                         self._cancelled_in_heap -= 1
+                        continue
+                    if entry[1] != event.seq:
+                        # Stale entry: drop it if the event is disarmed,
+                        # else re-file it under the event's new key.
+                        self._stale_total += 1
+                        if event.seq is None:
+                            heappop(self._heap)
+                            event.queued = False
+                        else:
+                            heapreplace(self._heap, (event.time, event.seq, event))
                         continue
                     if until is not None and entry[0] > until:
                         break
                     heappop(self._heap)
+                    event.queued = False
                     self.now = entry[0]
                     fn = event.fn
                     start_wall = clock()
