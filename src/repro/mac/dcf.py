@@ -76,10 +76,6 @@ class DcfMac:
         self._tracer = tracer or Tracer()
         self.queue = InterfaceQueue(queue_capacity)
         radio.mac = self
-        # Tell the radio it can skip medium-change callbacks while we have
-        # no transmit attempt in flight (see Radio.mac_idle); kept exactly
-        # in sync with ``_current`` below.
-        radio.mac_idle = True
 
         # Upper-layer callbacks (wired by the node).
         self.deliver: Callable[[Packet], None] = lambda packet: None
@@ -100,9 +96,16 @@ class DcfMac:
         self._eifs_pending = False
         self._defer_timer = Timer(sim, self._defer_expired)
         self._response_timer = Timer(sim, self._response_timeout)
+        # Virtual carrier sense.  _medium_free reads the NAV expiry; the
+        # wake-up at the expiry is armed only while an attempt is in flight
+        # (it cannot change anything otherwise), at the key reserved when
+        # the NAV was last extended, so it fires where an eager one would.
         self._nav_until = 0.0
+        self._nav_seq = 0
+        self._nav_timer = Timer(sim, self.on_medium_change)
         self._seq = 0
         self._last_seq: Dict[int, int] = {}
+        self._sync_edges()
 
     # ------------------------------------------------------------------
     # Upper-layer entry point
@@ -137,7 +140,9 @@ class DcfMac:
             return
         self._seq += 1
         self._current = _Attempt(entry.packet, entry.next_hop, self._seq)
-        self._radio.mac_idle = False
+        self._sync_edges()
+        if self._nav_until > self._sim.now:
+            self._nav_timer.start_at(self._nav_until, self._nav_seq)
         self._cw = self.timing.cw_min
         self._draw_backoff()
         self._begin_defer()
@@ -147,15 +152,38 @@ class DcfMac:
         self._backoff_remaining = slots * self.timing.slot
 
     def _medium_free(self) -> bool:
-        return not self._radio.busy and self._sim.now >= self._nav_until
+        radio = self._radio
+        return (
+            radio.heard == 0
+            and radio.sending is None
+            and self._sim.now >= self._nav_until
+        )
+
+    def _sync_edges(self) -> None:
+        """Ask the radio for exactly the medium edges that can change our
+        state: busy edges while the defer timer runs for an attempt (they
+        pause it), free edges while an attempt waits to start deferring.
+        ``on_medium_change`` is a no-op at every other edge."""
+        radio = self._radio
+        if self._current is None:
+            radio.notify_busy = radio.notify_free = False
+        else:
+            deferring = self._defer_started is not None
+            radio.notify_busy = deferring
+            radio.notify_free = not deferring and self._awaiting is None
 
     def _begin_defer(self) -> None:
         if self._current is None or self._awaiting is not None:
             return
-        if self._defer_timer.running:
+        # _defer_started is non-None exactly while the defer timer runs, and
+        # testing the attribute is far cheaper than Timer.running.
+        if self._defer_started is not None:
             return
         if not self._medium_free():
             return  # resumed by on_medium_change when the medium clears
+        self._start_defer()
+
+    def _start_defer(self) -> None:
         self._defer_started = self._sim.now
         self._defer_ifs = (
             self.timing.eifs
@@ -163,23 +191,28 @@ class DcfMac:
             else self.timing.difs
         )
         self._defer_timer.start(self._defer_ifs + self._backoff_remaining)
+        radio = self._radio
+        radio.notify_busy = True
+        radio.notify_free = False
 
     def _pause_defer(self) -> None:
-        # _defer_started is non-None exactly while the defer timer runs, and
-        # testing the attribute is far cheaper than Timer.running — this is
-        # called for every overheard NAV update.
-        if self._defer_started is None or not self._defer_timer.running:
+        # Called for every overheard NAV update: keep the idle test cheap.
+        if self._defer_started is None:
             return
         elapsed = self._sim.now - self._defer_started
         consumed = max(0.0, elapsed - self._defer_ifs)
         self._backoff_remaining = max(0.0, self._backoff_remaining - consumed)
         self._defer_timer.cancel()
         self._defer_started = None
+        radio = self._radio
+        radio.notify_busy = False
+        radio.notify_free = self._current is not None and self._awaiting is None
 
     def _defer_expired(self) -> None:
         self._defer_started = None
         if self._current is None:
             return
+        self._sync_edges()
         if not self._medium_free():  # defensive: same-instant race
             self._begin_defer()
             return
@@ -250,15 +283,14 @@ class DcfMac:
     def on_medium_change(self) -> None:
         """The radio's busy state (or the NAV) may have changed."""
         if self._current is None:
-            # Nothing queued: the defer timer cannot be running (it is only
-            # armed while an attempt exists), so there is nothing to start or
-            # pause.  This is the common case — every transmission pings
-            # every carrier-sense neighbour, and most of them are idle.
+            # No attempt in flight: nothing to start or pause.  The radio
+            # only calls in here when it can matter (see _sync_edges), but
+            # a NAV wake-up or a custom radio may still arrive now.
             return
-        if self._medium_free():
-            self._begin_defer()
-        else:
+        if not self._medium_free():
             self._pause_defer()
+        elif self._awaiting is None and self._defer_started is None:
+            self._start_defer()
 
     def on_tx_complete(self, frame: Frame) -> None:
         """Our own frame just left the antenna; sequence the exchange."""
@@ -268,12 +300,14 @@ class DcfMac:
         timing = self.timing
         if frame.kind is FrameKind.RTS and frame.seq == attempt.seq:
             self._awaiting = "cts"
+            self._sync_edges()
             self._response_timer.start(timing.cts_timeout)
         elif frame.kind is FrameKind.DATA and frame.seq == attempt.seq:
             if frame.is_broadcast:
                 self._finish_current(success=True)
             else:
                 self._awaiting = "ack"
+                self._sync_edges()
                 self._response_timer.start(timing.ack_timeout)
 
     def on_corrupt_frame(self) -> None:
@@ -316,6 +350,7 @@ class DcfMac:
             ):
                 self._response_timer.cancel()
                 self._awaiting = None
+                self._sync_edges()
                 self._sim.schedule(timing.sifs, self._data_after_cts)
         elif frame.kind is FrameKind.DATA:
             ack = Frame(FrameKind.ACK, self.node_id, frame.src, duration=0.0)
@@ -349,6 +384,7 @@ class DcfMac:
 
     def _response_timeout(self) -> None:
         self._awaiting = None
+        self._sync_edges()
         self._handle_retry()
 
     def _handle_retry(self) -> None:
@@ -367,8 +403,9 @@ class DcfMac:
         attempt = self._current
         assert attempt is not None
         self._current = None
-        self._radio.mac_idle = True
         self._awaiting = None
+        self._sync_edges()
+        self._nav_timer.cancel()
         self._cw = self.timing.cw_min
         if attempt.next_hop != BROADCAST:
             if success:
@@ -394,5 +431,9 @@ class DcfMac:
         if until <= self._nav_until:
             return
         self._nav_until = until
+        # The defer timer can run with no attempt in flight (our own
+        # transmission's end may arm it), so pause it regardless.
         self._pause_defer()
-        self._sim.schedule_at(until, self.on_medium_change)
+        self._nav_seq = self._sim.reserve_seq()
+        if self._current is not None:
+            self._nav_timer.start_at(until, self._nav_seq)

@@ -113,7 +113,6 @@ class Channel:
             )
         sender.begin_transmit(tx)
         plan = self._plan_for(sender.node_id, now)
-        energy = self.energy
         if self.capture is not None:
             lossy = self._lossy
             loss_model = self._loss_model
@@ -123,28 +122,35 @@ class Channel:
                     not lossy or loss_model.delivered(distance, rng)
                 )
                 radio.energy_start(tx, receivable, power)
-                if energy is not None:
-                    energy.charge_rx(radio.node_id, duration)
-        elif self._lossy:
-            loss_model = self._loss_model
-            rng = self._rng
-            for radio, in_rx, distance, _power in plan:
-                # Short-circuit keeps the RNG draw order identical to the
-                # unmemoised loop: one draw per in-range listener, in
-                # carrier-sense neighbour order.
-                radio.energy_start(tx, in_rx and loss_model.delivered(distance, rng))
-                if energy is not None:
-                    energy.charge_rx(radio.node_id, duration)
-        elif energy is not None:
-            for radio, in_rx, _distance, _power in plan:
-                radio.energy_start(tx, in_rx)
-                energy.charge_rx(radio.node_id, duration)
         else:
-            # The common configuration (disk propagation, no energy model):
-            # nothing in the loop but the energy_start calls themselves.
-            for radio, in_rx, _distance, _power in plan:
-                radio.energy_start(tx, in_rx)
+            if self._lossy:
+                # This frame's own copy of the plan, with in_rx replaced by
+                # the delivery draw: one draw per in-range listener, in
+                # carrier-sense neighbour order (the MAC callbacks below
+                # never touch this stream).
+                loss_model = self._loss_model
+                rng = self._rng
+                plan = [
+                    (radio, in_rx and loss_model.delivered(distance, rng), distance, power)
+                    for radio, in_rx, distance, power in plan
+                ]
+            # One pass over the listeners, updating each radio's medium
+            # state inline (see repro.phy.radio).
+            for radio, receivable, _distance, _power in plan:
+                if radio.heard or radio.sending is not None:
+                    # Overlap: whatever this radio was decoding is lost, and
+                    # the new frame cannot be decoded either.
+                    radio.heard += 1
+                    radio.rx = None
+                else:
+                    radio.heard = 1
+                    radio.rx = tx if receivable else None
+                    if radio.notify_busy and radio.mac is not None:
+                        radio.mac.on_medium_change()
+        energy = self.energy
         if energy is not None:
+            for entry in plan:
+                energy.charge_rx(entry[0].node_id, duration)
             energy.charge_tx(sender.node_id, duration)
         self._sim.schedule(duration, self._finish, tx, sender, plan)
 
@@ -196,6 +202,36 @@ class Channel:
     def _finish(self, tx: Transmission, sender: "Radio", plan: List[tuple]) -> None:
         # End energy at listeners first so the sender's completion callback
         # observes a consistent medium.
-        for entry in plan:
-            entry[0].energy_end(tx)
+        if self.capture is not None:
+            for entry in plan:
+                entry[0].energy_end(tx)
+            sender.end_transmit(tx)
+            return
+        frame = tx.frame
+        for radio, receivable, _distance, _power in plan:
+            heard = radio.heard - 1
+            radio.heard = heard
+            if radio.rx is tx:
+                # Decoded.  Nothing else started here since this frame did,
+                # and the medium was idle then, so it is idle again now.
+                radio.rx = None
+                mac = radio.mac
+                if mac is not None:
+                    if radio.notify_free:
+                        mac.on_medium_change()
+                    mac.on_frame(frame)
+                continue
+            if receivable and radio.mac is not None:
+                # A decodable frame was ruined (collision / half duplex): the
+                # MAC may apply EIFS deference.
+                on_corrupt = getattr(radio.mac, "on_corrupt_frame", None)
+                if on_corrupt is not None:
+                    on_corrupt()
+            if (
+                radio.notify_free
+                and not heard
+                and radio.sending is None
+                and radio.mac is not None
+            ):
+                radio.mac.on_medium_change()
         sender.end_transmit(tx)

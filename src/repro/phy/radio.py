@@ -1,35 +1,48 @@
 """Per-node half-duplex transceiver.
 
-The radio tracks the set of transmissions it currently hears and decides,
-per transmission, whether the frame survives: decodable means the frame was
-in receive range, no other heard transmission overlapped any part of it, and
+The radio holds its node's view of the medium and decides, per
+transmission, whether the frame survives: decodable means the frame was in
+receive range, no other heard transmission overlapped any part of it, and
 this radio was not itself transmitting at any point during it.
+
+On the common path (no capture model) the :class:`~repro.phy.channel.Channel`
+keeps that view itself, in one pass over a frame's listeners at its start
+and one at its end, with no method call per listener.  The view is three
+fields:
+
+* ``heard`` — transmissions currently heard, decodable or not;
+* ``sending`` — our own transmission in flight, or None;
+* ``rx`` — the one heard transmission that can still be decoded.  A frame
+  becomes ``rx`` only if the medium was idle when it started (nothing
+  heard, nothing sent); any later start here — a heard frame or our own —
+  clears it, so a frame is decoded iff it is still ``rx`` when it ends.
+
+With a capture model an overlap no longer corrupts unconditionally; the
+channel then calls :meth:`Radio.energy_start` and :meth:`Radio.energy_end`
+per listener, which track every decodable reception.
 
 The MAC attaches via three callbacks:
 
 * ``on_medium_change()`` — physical carrier-sense transitions,
 * ``on_frame(frame)`` — a successfully decoded frame,
 * ``on_tx_complete(frame)`` — the radio finished sending our own frame.
+
+``on_medium_change`` goes out only for the edges the MAC has asked for:
+``notify_busy`` covers the medium turning busy (and the start of our own
+transmission), ``notify_free`` the medium turning idle.  Both default to
+True, so a MAC that does not manage them hears every transition; the DCF
+MAC keeps them True only while the callback can change its state.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.phy.channel import Channel, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.frames import Frame
-
-# A reception in progress is a mutable [receivable, corrupt] pair.  A bare
-# list beats a (slotted) class here: receptions are created and destroyed
-# once per heard frame per listener — the hottest allocation site in the
-# whole simulator.  Only *decodable* frames get an entry; carrier-sense-only
-# energy (out of receive range) is a bare counter, since its corrupt flag
-# could never be read.
-_RECEIVABLE = 0
-_CORRUPT = 1
 
 
 class Radio:
@@ -39,23 +52,21 @@ class Radio:
         self.node_id = node_id
         self._channel = channel
         self.mac = None  # set by the MAC layer during stack wiring
-        # Maintained by the MAC: True only when it provably ignores medium
-        # transitions (no transmit attempt in progress).  The default False
-        # means "always notify", which keeps custom/test MACs correct without
-        # them knowing the flag exists.  Most energy transitions happen at
-        # idle bystanders, so skipping the callback here is a real win.
-        self.mac_idle = False
-        self._transmitting: Optional[Transmission] = None
-        self._receptions: Dict[Transmission, List[bool]] = {}
-        self._cs_energy = 0  # in-flight transmissions heard but not decodable
+        self.notify_busy = True
+        self.notify_free = True
+        # Medium state; see the module docstring.
+        self.heard = 0
+        self.sending: Optional[Transmission] = None
+        self.rx: Optional[Transmission] = None
         # Capture (profile opt-in): the threshold the channel's CaptureModel
-        # configured, and the relative power of every transmission currently
-        # heard.  None keeps the legacy any-overlap-corrupts fast path.
+        # configured, the relative power of every transmission currently
+        # heard, and whether each decodable one is corrupt so far.
         capture = channel.capture
         self._capture_db: Optional[float] = (
             None if capture is None else capture.threshold_db
         )
         self._heard_power: Dict[Transmission, float] = {}
+        self._receptions: Dict[Transmission, bool] = {}
         channel.attach(self)
 
     # -- state queries -----------------------------------------------------
@@ -63,71 +74,46 @@ class Radio:
     @property
     def busy(self) -> bool:
         """Physical carrier sense: energy on the air or transmitting."""
-        return (
-            self._transmitting is not None
-            or bool(self._receptions)
-            or self._cs_energy > 0
-        )
+        return self.heard > 0 or self.sending is not None
 
     @property
     def transmitting(self) -> bool:
-        return self._transmitting is not None
+        return self.sending is not None
 
     # -- transmit path -----------------------------------------------------
 
     def transmit(self, frame: "Frame", duration: float) -> None:
         """Hand a frame to the channel (the MAC has already deferred)."""
-        if self._transmitting is not None:
+        if self.sending is not None:
             raise SimulationError(
                 f"node {self.node_id} started a transmission while already sending"
             )
         self._channel.transmit(self, frame, duration)
 
     def begin_transmit(self, tx: Transmission) -> None:
-        self._transmitting = tx
+        self.sending = tx
         # Half duplex: anything we were receiving is lost.
-        for reception in self._receptions.values():
-            reception[_CORRUPT] = True
-        if self.mac is not None and not self.mac_idle:
+        self.rx = None
+        receptions = self._receptions
+        for heard_tx in receptions:
+            receptions[heard_tx] = True
+        if self.notify_busy and self.mac is not None:
             self.mac.on_medium_change()
 
     def end_transmit(self, tx: Transmission) -> None:
-        self._transmitting = None
-        if self.mac is not None:
-            if not self.mac_idle:
-                self.mac.on_medium_change()
-            self.mac.on_tx_complete(tx.frame)
+        self.sending = None
+        mac = self.mac
+        if mac is not None:
+            if self.notify_free if self.heard == 0 else self.notify_busy:
+                mac.on_medium_change()
+            mac.on_tx_complete(tx.frame)
 
-    # -- receive path ------------------------------------------------------
+    # -- receive path under a capture model --------------------------------
 
     def energy_start(
         self, tx: Transmission, receivable: bool, power: float = 0.0
     ) -> None:
-        if self._capture_db is not None:
-            self._capture_start(tx, receivable, power)
-            return
-        # `busy` doubles as the new reception's corrupt flag: energy from a
-        # second source corrupts, and its absence means we were clear.
-        receptions = self._receptions
-        busy = (
-            bool(receptions)
-            or self._cs_energy > 0
-            or self._transmitting is not None
-        )
-        if busy:
-            for reception in receptions.values():
-                reception[_CORRUPT] = True
-        if receivable:
-            receptions[tx] = [True, busy]
-        else:
-            self._cs_energy += 1
-        if not busy and self.mac is not None and not self.mac_idle:
-            self.mac.on_medium_change()
-
-    def _capture_start(
-        self, tx: Transmission, receivable: bool, power: float
-    ) -> None:
-        """Reception start under the capture model.
+        """A heard transmission starts (capture model only).
 
         Pairwise strongest-interferer capture: an overlap no longer corrupts
         unconditionally.  Each decodable frame already on the air survives
@@ -139,55 +125,34 @@ class Radio:
         receptions = self._receptions
         heard = self._heard_power
         threshold = self._capture_db
-        busy = bool(heard) or self._transmitting is not None
-        for rx_tx, reception in receptions.items():
+        busy = self.heard > 0 or self.sending is not None
+        for rx_tx in receptions:
             if heard[rx_tx] < power + threshold:
-                reception[_CORRUPT] = True
+                receptions[rx_tx] = True
         if receivable:
-            corrupt = self._transmitting is not None or any(
+            receptions[tx] = self.sending is not None or any(
                 power < other + threshold for other in heard.values()
             )
-            receptions[tx] = [True, corrupt]
-        else:
-            self._cs_energy += 1
         heard[tx] = power
-        if not busy and self.mac is not None and not self.mac_idle:
+        self.heard += 1
+        if not busy and self.notify_busy and self.mac is not None:
             self.mac.on_medium_change()
 
     def energy_end(self, tx: Transmission) -> None:
-        if self._capture_db is not None:
-            self._heard_power.pop(tx, None)
-        reception = self._receptions.pop(tx, None)
-        if reception is None:
-            # Carrier-sense-only energy: no decode outcome to deliver, just
-            # the possible busy -> free transition.
-            if self._cs_energy > 0:
-                self._cs_energy -= 1
-                if (
-                    not self.mac_idle
-                    and self._cs_energy == 0
-                    and not self._receptions
-                    and self._transmitting is None
-                    and self.mac is not None
-                ):
-                    self.mac.on_medium_change()
-            return
+        """A heard transmission ends (capture model only)."""
+        del self._heard_power[tx]
+        self.heard -= 1
+        corrupt = self._receptions.pop(tx, None)
         mac = self.mac
         if mac is None:
             return
-        receivable, corrupt = reception
-        if receivable and corrupt:
+        if corrupt:
             # A decodable frame was ruined (collision / half duplex): the
             # MAC may apply EIFS deference.
             on_corrupt = getattr(mac, "on_corrupt_frame", None)
             if on_corrupt is not None:
                 on_corrupt()
-        if (
-            not self.mac_idle
-            and not self._receptions
-            and self._cs_energy == 0
-            and self._transmitting is None
-        ):
+        if self.heard == 0 and self.sending is None and self.notify_free:
             mac.on_medium_change()
-        if receivable and not corrupt:
+        if corrupt is False:
             mac.on_frame(tx.frame)
