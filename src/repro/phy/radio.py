@@ -104,6 +104,7 @@ class Radio:
         self.sending = None
         mac = self.mac
         if mac is not None:
+            # The medium turns idle here unless another frame is still heard.
             if self.notify_free if self.heard == 0 else self.notify_busy:
                 mac.on_medium_change()
             mac.on_tx_complete(tx.frame)
