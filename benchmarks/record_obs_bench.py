@@ -13,7 +13,7 @@ observation and records the wall time of each mode, best of N:
 * **obs_off** — an `Observability()` facade attached with nothing
   enabled: must cost nothing, pinning the zero-cost-when-off claim;
 * **metrics_on** — `IntervalMetrics` at a 5 s cadence;
-* **profile_on** — the engine profiler (duplicated run loop);
+* **profile_on** — the engine profiler (per-callback wall-clock timing);
 * **full_trace** — a wildcard jsonl `TraceFileWriter`, the most
   expensive mode (every guarded emit fires and is serialized).
 

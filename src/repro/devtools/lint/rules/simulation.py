@@ -1,11 +1,11 @@
 """SIM001 and API001: engine-encapsulation and layering invariants.
 
 SIM001 — the event heap belongs to :class:`repro.sim.engine.Simulator`.
-Its determinism contract (total ``(time, seq)`` order, lazy cancellation,
-compaction bookkeeping) holds only while every mutation goes through
-``schedule``/``schedule_at``/``cancel``; a ``heapq`` call on another
-object's heap bypasses the sequence counter and the cancelled-event
-accounting at once.
+Its determinism contract (total ``(time, seq)`` order, stale entries of
+cancelled, disarmed or re-keyed events) holds only while every mutation
+goes through the simulator's methods; a ``heapq`` call on another object's
+heap bypasses the sequence counter and the events' ``queued`` flags at
+once.
 
 API001 — shipped modules must never import from the test tree: tests are
 not installed, so such an import works in CI and crashes for users.

@@ -1,9 +1,11 @@
 """Engine wall-clock profiler: where does a run's host time go?
 
 The measurement itself lives in the engine (:meth:`Simulator.
-enable_profiling` — a duplicated run loop, so the off path is untouched);
-this module is the reporting layer: grouping per-callback attribution by
-component class and rendering the table ``repro-run --profile`` prints.
+enable_profiling`: the run loop times each callback while profiling is
+on); this module is the reporting layer: grouping per-callback attribution
+by component class and rendering the table ``repro-run --profile`` prints.
+A timer's events are reported under the function the timer calls, e.g.
+``DcfMac._defer_expired``, not under ``Timer._fire``.
 
 Profiling observes wall time only and never feeds simulation state, so a
 profiled run produces bit-identical metrics.

@@ -12,7 +12,12 @@ earlier — the common pattern of a MAC backoff that is paused and resumed.
 Only a timer whose entry has left the heap, or whose deadline moves
 earlier, pushes a new event.  Each deadline gets the tie-break number an
 eager cancel-and-schedule would have taken, so the timer fires at exactly
-the same point of the event order.
+the same point of the event order.  A timer therefore holds at most one
+heap entry at a time.
+
+A :class:`PeriodicTimer` is a :class:`Timer` that restarts itself on every
+tick.  Both expose the function they call as ``callback``, which is what
+the engine profiler names their events by.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ class Timer:
         # The timer's event: pending, or disarmed and possibly still in the
         # heap (and then reusable); None once it has fired.
         self._event: Optional[Event] = None
+
+    @property
+    def callback(self) -> Callable[..., Any]:
+        """The function the timer calls when it fires."""
+        return self._fn
 
     @property
     def running(self) -> bool:
@@ -92,27 +102,27 @@ class PeriodicTimer:
     def __init__(self, sim: Simulator, period: float, fn: Callable[[], Any]):
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        self._sim = sim
         self.period = period
         self._fn = fn
-        self._event: Optional[Event] = None
+        self._timer = Timer(sim, self._tick)
+
+    @property
+    def callback(self) -> Callable[[], Any]:
+        """The function called on every tick."""
+        return self._fn
 
     @property
     def running(self) -> bool:
-        return self._event is not None and not self._event.cancelled
+        return self._timer.running
 
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Start ticking.  The first tick fires after ``initial_delay``
         (default: one full period)."""
-        self.stop()
-        delay = self.period if initial_delay is None else initial_delay
-        self._event = self._sim.schedule(delay, self._tick)
+        self._timer.start(self.period if initial_delay is None else initial_delay)
 
     def stop(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._timer.cancel()
 
     def _tick(self) -> None:
-        self._event = self._sim.schedule(self.period, self._tick)
+        self._timer.start(self.period)
         self._fn()

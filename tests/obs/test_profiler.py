@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.profiler import EngineProfiler, ProfileReport
 from repro.sim.engine import ProfileEntry, Simulator
+from repro.sim.timers import PeriodicTimer, Timer
 
 
 class Ticker:
@@ -28,6 +29,29 @@ def test_profiler_attributes_calls_per_callback():
     entry = next(e for e in report.entries if "Ticker.tick" in e.key)
     assert entry.calls == 3
     assert entry.wall_s >= 0.0
+
+
+class Sweeper:
+    def __init__(self, sim):
+        self.timeout = Timer(sim, self.expire)
+        self.sweep = PeriodicTimer(sim, 1.0, self.expire_routes)
+
+    def expire(self):
+        pass
+
+    def expire_routes(self):
+        pass
+
+
+def test_timer_rows_name_the_function_the_timer_calls():
+    sim = Simulator()
+    profiler = EngineProfiler(sim).enable()
+    sweeper = Sweeper(sim)
+    sweeper.timeout.start(0.5)
+    sweeper.sweep.start()
+    sim.run(until=3.5)
+    calls = {entry.key: entry.calls for entry in profiler.report().entries}
+    assert calls == {"Sweeper.expire": 1, "Sweeper.expire_routes": 3}
 
 
 def test_report_raises_when_profiling_off():

@@ -127,51 +127,70 @@ def test_zero_delay_event_fires_at_current_time():
     assert seen == [1.0]
 
 
-def test_compaction_purges_cancelled_events():
-    sim = Simulator(compact_min_heap=16, compact_ratio=0.5)
-    events = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
-    for event in events[:80]:
-        event.cancel()
-    stats = sim.stats()
-    assert stats.compactions >= 1
-    assert stats.pending_cancelled < 0.5 * max(stats.pending, 1)
-    assert stats.pending < 100  # garbage actually left the heap
-    assert sim.run() == 20
+def test_run_until_with_max_events_keeps_clock_at_last_event():
+    """A run cut short by max_events must not move the clock past events
+    still due by ``until``: the next run would set it back."""
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule_at(t, fired.append, t)
+    assert sim.run(until=10.0, max_events=1) == 1
+    assert sim.now == 1.0
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
+    assert sim.now == 3.0
 
 
-def test_compaction_preserves_execution_order():
-    """Compacting mid-run must not reorder the surviving events."""
-    sim = Simulator(compact_min_heap=8, compact_ratio=0.25)
+def test_run_until_with_max_events_advances_when_nothing_is_due():
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    sim.cancel(sim.schedule_at(2.0, lambda: None))
+    sim.schedule_at(20.0, lambda: None)
+    assert sim.run(until=10.0, max_events=1) == 1
+    assert sim.now == 10.0
+
+
+def test_cancel_during_run_preserves_execution_order():
+    """Cancelling from inside a run must not reorder the surviving events."""
+    sim = Simulator()
     fired = []
     for i in range(0, 100, 2):
         sim.schedule(float(i), fired.append, i)
     doomed = [sim.schedule(float(i), fired.append, i) for i in range(1, 100, 2)]
-    # Cancel from inside the run, so compaction interleaves with execution.
     sim.schedule(0.5, lambda: [event.cancel() for event in doomed])
     sim.run()
     assert fired == list(range(0, 100, 2))
-    assert sim.stats().compactions >= 1
+    assert sim.stats().skipped == 50
 
 
-def test_compaction_is_transparent_to_results():
-    """Same workload, compaction on vs effectively off: same outcome."""
+def test_cancel_churn_during_run_preserves_execution_order():
+    """Victims scheduled and cancelled from inside the run, each due between
+    two live events, leave the live order untouched."""
+    sim = Simulator()
+    fired = []
 
-    def churn(sim):
-        fired = []
+    def churn():
         for i in range(500):
             sim.schedule(float(i), fired.append, i)
-            victim = sim.schedule(float(i) + 0.25, fired.append, -i)
-            victim.cancel()
-        sim.run()
-        return fired
+            sim.cancel(sim.schedule(float(i) + 0.25, fired.append, -i))
 
-    eager = churn(Simulator(compact_min_heap=4, compact_ratio=0.01))
-    lazy = churn(Simulator(compact_min_heap=10**9))
-    assert eager == lazy == list(range(500))
+    sim.schedule(0.0, churn)
+    sim.run()
+    assert fired == list(range(500))
+
+
+def test_cancelled_event_cannot_be_rekeyed():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, fired.append, "x")
+    event.cancel()
+    assert not sim.rekey(event, 2.0)
+    sim.run()
+    assert fired == []
 
 
 def test_stats_counters():
-    sim = Simulator(compact_min_heap=10**9)  # keep compaction out of the way
+    sim = Simulator()
     sim.schedule(1.0, lambda: None)
     victim = sim.schedule(2.0, lambda: None)
     victim.cancel()
@@ -181,13 +200,4 @@ def test_stats_counters():
     assert stats.executed == 1
     assert stats.cancelled == 1
     assert stats.skipped == 1
-    assert stats.compactions == 0
     assert stats.pending == 0
-    assert stats.pending_cancelled == 0
-
-
-def test_invalid_compact_ratio_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(compact_ratio=0.0)
-    with pytest.raises(SimulationError):
-        Simulator(compact_ratio=1.5)
